@@ -119,22 +119,14 @@ ALGORITHMS: dict[str, Callable[..., Placement]] = {
     "frequency": lambda problem, **kw: frequency_placement(
         problem, distribute=kw.get("distribute", "round_robin")
     ),
-    "heuristic": lambda problem, **kw: heuristic_placement(
-        problem,
-        refine_groups=kw.get("refine_groups", True),
-        num_groups=kw.get("num_groups"),
-    ),
+    "heuristic": lambda problem, **kw: heuristic_placement(problem),
     "heuristic+ls": _heuristic_with_ls,
     "grouping_only": lambda problem, **kw: grouping_only_placement(problem),
     "ordering_only": lambda problem, **kw: ordering_only_placement(problem),
     "spectral": lambda problem, **kw: spectral_placement(problem),
     "community": lambda problem, **kw: community_placement(problem),
-    "shiftsreduce": lambda problem, **kw: shiftsreduce_placement(
-        problem, num_groups=kw.get("num_groups")
-    ),
-    "generalized": lambda problem, **kw: generalized_placement(
-        problem, num_groups=kw.get("num_groups")
-    ),
+    "shiftsreduce": lambda problem, **kw: shiftsreduce_placement(problem),
+    "generalized": lambda problem, **kw: generalized_placement(problem),
     "annealing": lambda problem, **kw: simulated_annealing(
         problem,
         heuristic_placement(problem),

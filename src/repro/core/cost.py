@@ -173,9 +173,7 @@ def shift_lower_bound(problem: PlacementProblem) -> int:
             2 * min(abs(offset - port) for port in config.port_offsets)
             for offset in range(config.words_per_dbc)
         )
-        frequencies = sorted(
-            problem.trace.frequencies().values(), reverse=True
-        )
+        frequencies = sorted(problem.frequencies.values(), reverse=True)
         total = 0
         rank = 0
         for distance in per_dbc:

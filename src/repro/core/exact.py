@@ -270,7 +270,7 @@ def exhaustive_placement(
     config = problem.config
     capacity = config.words_per_dbc
     eager = config.port_policy is PortPolicy.EAGER
-    frequencies = dict(problem.trace.frequencies())
+    frequencies = problem.frequencies
     group_cost: dict[int, int] = {}
     group_layout: dict[int, dict[str, int]] = {}
     for mask in range(1, 1 << n):

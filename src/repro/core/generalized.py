@@ -19,40 +19,34 @@ parametric strategies:
   generalization never loses to the specialization it extends.
 
 Per group the cheapest strategy wins by exact evaluation of the restricted
-subsequence (sound by the per-DBC cost decomposition); across grouping
-candidates the cheapest full placement wins, with the paper heuristic's
-placement kept in the candidate set so ``generalized ≤ heuristic`` is a
-structural guarantee (the repo's portfolio idiom).  All tie-breaks are
-total, so the construction is byte-deterministic.
+subsequence (sound by the per-DBC cost decomposition).  Generalized
+placement is the pipeline of ``repro.core.heuristic`` configured with the
+layouts ``(generalized_layout, paper_layout)``: across every (layout,
+grouping) candidate the cheapest full placement wins, and since the
+paper's layout is in the portfolio ``generalized ≤ heuristic`` is a
+structural guarantee.  All tie-breaks are total, so the construction is
+byte-deterministic.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.cost import evaluate_placement
-from repro.core.fast_eval import FAST_EVAL_MIN_ACCESSES, evaluate_placements_fast
-from repro.core.grouping import greedy_min_affinity_grouping, refine_grouping
-from repro.core.heuristic import (
-    chain_and_cut_groups,
-    declaration_block_groups,
-    heuristic_placement,
-    hot_spread_groups,
-)
+from repro.core.heuristic import portfolio_placement
 from repro.core.ordering import (
     anchored_offsets,
     greedy_chain_order,
+    paper_layout,
     proximity_offsets,
-    restricted_sequence_cost,
     weighted_median_index,
 )
-from repro.core.placement import Placement, Slot
+from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.dwm.config import DWMConfig
 from repro.errors import OptimizationError
-from repro.trace.stats import affinity_graph
+from repro.trace.model import AccessTrace
 
-__all__ = ["multi_port_chain_offsets", "generalized_placement"]
+__all__ = ["generalized_layout", "generalized_placement", "multi_port_chain_offsets"]
 
 
 def multi_port_chain_offsets(
@@ -100,82 +94,29 @@ def multi_port_chain_offsets(
     return offsets
 
 
-def _order_groups_generalized(
+def generalized_layout(
     problem: PlacementProblem,
-    groups: Sequence[Sequence[str]],
-) -> Placement:
-    """Assemble a placement choosing the best port-aware layout per group."""
-    frequencies = dict(problem.trace.frequencies())
-    mapping: dict[str, Slot] = {}
-    for dbc, group in enumerate(groups):
-        group = list(group)
-        if not group:
-            continue
-        if dbc >= problem.config.num_dbcs:
-            raise OptimizationError(
-                f"group index {dbc} exceeds array DBC count "
-                f"{problem.config.num_dbcs}"
-            )
-        restricted = problem.trace.restricted_to(group)
-        affinity = affinity_graph(restricted)
-        chain = greedy_chain_order(group, affinity)
-        candidates = [
-            multi_port_chain_offsets(chain, problem.config, frequencies),
-            multi_port_chain_offsets(
-                list(reversed(chain)), problem.config, frequencies
-            ),
-            proximity_offsets(group, problem.config, frequencies),
-            anchored_offsets(chain, problem.config, frequencies),
-        ]
-        best_offsets = None
-        best_cost = None
-        for offsets in candidates:
-            cost = restricted_sequence_cost(restricted, offsets, problem.config)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_offsets = offsets
-        assert best_offsets is not None
-        for item, offset in best_offsets.items():
-            mapping[item] = Slot(dbc, offset)
-    return Placement(mapping)
+    group: list[str],
+    restricted: AccessTrace,
+    affinity: dict[tuple[str, str], int],
+) -> list[dict[str, int]]:
+    """Port-aware candidates: split chains, proximity, anchored chain."""
+    config, frequencies = problem.config, problem.frequencies
+    chain = greedy_chain_order(group, affinity)
+    return [
+        multi_port_chain_offsets(chain, config, frequencies),
+        multi_port_chain_offsets(chain[::-1], config, frequencies),
+        proximity_offsets(group, config, frequencies),
+        anchored_offsets(chain, config, frequencies),
+    ]
 
 
-def generalized_placement(
-    problem: PlacementProblem,
-    num_groups: int | None = None,
-) -> Placement:
+def generalized_placement(problem: PlacementProblem) -> Placement:
     """Full generalized placement: grouping portfolio + port-aware layouts.
 
-    The candidate set is every grouping of the repo portfolio laid out
-    with the port-parametric strategies, plus the paper heuristic's own
-    placement as a guard candidate, making ``generalized ≤ heuristic`` a
-    structural guarantee on every instance (E21's acceptance gate).
-    Generalized candidates are listed first, so they win cost ties.
+    The pipeline lays every grouping out with the port-parametric
+    strategies and with the paper layout, making ``generalized ≤
+    heuristic`` a structural guarantee on every instance (E21's acceptance
+    gate).  Generalized candidates are listed first, so they win cost ties.
     """
-    groupings: list[list[list[str]]] = [
-        refine_grouping(
-            greedy_min_affinity_grouping(problem, num_groups=num_groups), problem
-        ),
-        chain_and_cut_groups(problem, num_groups=num_groups),
-        declaration_block_groups(problem),
-        hot_spread_groups(problem, num_groups=num_groups),
-    ]
-    placements = [
-        _order_groups_generalized(problem, groups) for groups in groupings
-    ]
-    placements.append(heuristic_placement(problem))
-    if len(problem.trace) >= FAST_EVAL_MIN_ACCESSES:
-        costs = evaluate_placements_fast(problem, placements, validate=False)
-    else:
-        costs = [
-            evaluate_placement(problem, placement, validate=False)
-            for placement in placements
-        ]
-    best_placement: Placement | None = None
-    best_cost: int | None = None
-    for placement, cost in zip(placements, costs):
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_placement = placement
-    assert best_placement is not None
-    return best_placement
+    return portfolio_placement(problem, (generalized_layout, paper_layout))

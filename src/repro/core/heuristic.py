@@ -1,4 +1,4 @@
-"""The paper's placement heuristic: grouping + ordering (+ refinement).
+"""The placement pipeline: groupings × layouts, scored as one portfolio.
 
 Pipeline (see DESIGN.md §4):
 
@@ -7,8 +7,9 @@ Pipeline (see DESIGN.md §4):
 2. **Grouping** — candidate partitions of items over DBCs.  Because
    cross-DBC transitions are free but splitting a stream creates
    *second-order* adjacencies inside each DBC's restricted subsequence, no
-   single grouping objective wins on every access pattern.  The heuristic
-   therefore builds a small portfolio of candidate groupings:
+   single grouping objective wins on every access pattern.  The pipeline
+   therefore builds a small portfolio of candidate groupings, once per
+   problem (:attr:`PlacementProblem.groupings`):
 
    * *interference-minimizing* — greedy + KL-refined partition minimizing the
      global affinity weight kept inside DBCs (wins on alternation-heavy
@@ -19,54 +20,64 @@ Pipeline (see DESIGN.md §4):
    * *hot-spread* — hottest items dealt round-robin so every DBC keeps a hot
      core at its port (wins on skewed, structure-free patterns).
 
-3. **Ordering** — per DBC, MinLA-style chain construction on the *restricted*
-   affinity graph, anchored on a port (:mod:`repro.core.ordering`), applied
-   to every candidate.
-4. **Selection** — candidates are scored with the exact trace-cost evaluator
-   and the cheapest placement wins (three evaluations; still linear time in
-   the trace).
+3. **Layout** — per DBC, a *layout* proposes candidate offsets for the
+   group and the cheapest on the group's restricted subsequence wins
+   (:func:`repro.core.ordering.order_groups`).  The paper's layout is the
+   MinLA-style chain anchored on a port (:func:`repro.core.ordering.paper_layout`);
+   ShiftsReduce and generalized placement contribute their own layouts.
+4. **Selection** — every (layout, grouping) placement is scored with the
+   exact trace-cost evaluator and the first cheapest wins
+   (:func:`portfolio_placement`; still linear time in the trace).
 5. Optional **local refinement** (:mod:`repro.core.local_search`).
 
-:func:`heuristic_placement` is the full algorithm; the ablation variants
-(`grouping_only_placement`, `ordering_only_placement`) isolate each phase's
-contribution for experiment E10.
+A placement method is a tuple of layouts: :func:`heuristic_placement` is
+``(paper_layout,)``; ShiftsReduce and generalized placement list their own
+layout first and the paper's second, so they never price above the
+heuristic.  The ablation variants (:func:`grouping_only_placement`,
+:func:`ordering_only_placement`) are single (grouping, layout) pairs that
+isolate each phase's contribution for experiment E10.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple, Sequence
+
 from repro.core.cost import evaluate_placement
 from repro.core.fast_eval import FAST_EVAL_MIN_ACCESSES, evaluate_placements_fast
 from repro.core.grouping import greedy_min_affinity_grouping, refine_grouping
-from repro.core.ordering import greedy_chain_order, order_groups
+from repro.core.ordering import (
+    Layout,
+    first_touch_layout,
+    greedy_chain_order,
+    order_groups,
+    paper_layout,
+)
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 
 
-def chain_and_cut_groups(
-    problem: PlacementProblem,
-    num_groups: int | None = None,
-) -> list[list[str]]:
+class Groupings(NamedTuple):
+    """The portfolio's candidate groupings, in candidate order."""
+
+    interference: list[list[str]]
+    chain_and_cut: list[list[str]]
+    declaration: list[list[str]]
+    hot_spread: list[list[str]]
+
+
+def chain_and_cut_groups(problem: PlacementProblem) -> list[list[str]]:
     """Global affinity chain cut into balanced contiguous blocks.
 
     The chain keeps strongly-affine (e.g. streaming) items consecutive; the
     cut spreads it over all available DBCs so each block stays short and can
-    be anchored near a port.
+    be anchored near a port.  At most ``num_dbcs`` blocks result, because
+    the problem guarantees ``n ≤ num_dbcs · L``.
     """
     config = problem.config
-    if num_groups is None:
-        num_groups = min(config.num_dbcs, problem.num_items)
+    num_groups = min(config.num_dbcs, problem.num_items)
     chain = greedy_chain_order(list(problem.items), problem.affinity)
-    size = -(-len(chain) // num_groups)  # ceil division
-    size = min(size, config.words_per_dbc)
-    groups = [chain[start : start + size] for start in range(0, len(chain), size)]
-    # The ceil split can yield at most num_groups blocks of `size` unless
-    # size was clamped by capacity; re-check the group count.
-    if len(groups) > config.num_dbcs:
-        size = config.words_per_dbc
-        groups = [
-            chain[start : start + size] for start in range(0, len(chain), size)
-        ]
-    return groups
+    size = min(-(-len(chain) // num_groups), config.words_per_dbc)
+    return [chain[start : start + size] for start in range(0, len(chain), size)]
 
 
 def declaration_block_groups(problem: PlacementProblem) -> list[list[str]]:
@@ -76,40 +87,46 @@ def declaration_block_groups(problem: PlacementProblem) -> list[list[str]]:
     return [items[start : start + length] for start in range(0, len(items), length)]
 
 
-def hot_spread_groups(
-    problem: PlacementProblem,
-    num_groups: int | None = None,
-) -> list[list[str]]:
+def hot_spread_groups(problem: PlacementProblem) -> list[list[str]]:
     """Hottest items dealt round-robin across DBCs (hot-spread grouping).
 
     Gives every DBC a hot core near its port; wins on popularity-skewed
     patterns with little pairwise structure (e.g. table lookups around a hot
     accumulator).
     """
-    config = problem.config
-    if num_groups is None:
-        num_groups = min(config.num_dbcs, problem.num_items)
+    num_groups = min(problem.config.num_dbcs, problem.num_items)
     groups: list[list[str]] = [[] for _ in range(num_groups)]
     for index, item in enumerate(problem.hot_order):
         groups[index % num_groups].append(item)
     return groups
 
 
-def heuristic_placement(
-    problem: PlacementProblem,
-    refine_groups: bool = True,
-    num_groups: int | None = None,
+def candidate_groupings(problem: PlacementProblem) -> Groupings:
+    """Build the four portfolio groupings (memoized as ``problem.groupings``)."""
+    return Groupings(
+        interference=refine_grouping(greedy_min_affinity_grouping(problem), problem),
+        chain_and_cut=chain_and_cut_groups(problem),
+        declaration=declaration_block_groups(problem),
+        hot_spread=hot_spread_groups(problem),
+    )
+
+
+def portfolio_placement(
+    problem: PlacementProblem, layouts: Sequence[Layout]
 ) -> Placement:
-    """Full grouping + ordering heuristic with candidate selection."""
-    candidates: list[list[list[str]]] = []
-    interference = greedy_min_affinity_grouping(problem, num_groups=num_groups)
-    if refine_groups:
-        interference = refine_grouping(interference, problem)
-    candidates.append(interference)
-    candidates.append(chain_and_cut_groups(problem, num_groups=num_groups))
-    candidates.append(declaration_block_groups(problem))
-    candidates.append(hot_spread_groups(problem, num_groups=num_groups))
-    placements = [order_groups(problem, groups) for groups in candidates]
+    """Cheapest placement over every (layout, grouping) pair.
+
+    Candidates are listed layout-major (all groupings under the first
+    layout, then under the second, ...) and the first cheapest wins, so a
+    method's own layout wins cost ties against the paper's.  Groupings and
+    each group's restricted trace are built once and shared by all layouts.
+    """
+    memo: dict = {}
+    placements = [
+        order_groups(problem, groups, layout, memo)
+        for layout in layouts
+        for groups in problem.groupings
+    ]
     if len(problem.trace) >= FAST_EVAL_MIN_ACCESSES:
         # Batch evaluation shares the trace resolution across candidates.
         costs = evaluate_placements_fast(problem, placements, validate=False)
@@ -118,46 +135,28 @@ def heuristic_placement(
             evaluate_placement(problem, placement, validate=False)
             for placement in placements
         ]
-    best_placement: Placement | None = None
-    best_cost: int | None = None
-    for placement, cost in zip(placements, costs):
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_placement = placement
-    assert best_placement is not None
-    return best_placement
+    return placements[costs.index(min(costs))]
+
+
+def heuristic_placement(problem: PlacementProblem) -> Placement:
+    """The paper's heuristic: the grouping portfolio under the paper layout."""
+    return portfolio_placement(problem, (paper_layout,))
 
 
 def grouping_only_placement(problem: PlacementProblem) -> Placement:
     """Ablation: affinity-aware grouping, but naive (first-touch) ordering.
 
-    Groups are computed as in the full heuristic; within each DBC items are
-    laid out in first-touch order starting at offset 0 (no chain
-    construction, no port anchoring).
+    Groups are the heuristic's refined interference grouping; within each
+    DBC items are laid out in first-touch order starting at offset 0 (no
+    chain construction, no port anchoring).
     """
-    groups = refine_grouping(
-        greedy_min_affinity_grouping(problem), problem
-    )
-    first_touch = {item: index for index, item in enumerate(problem.items)}
-    naive_groups = [
-        sorted(group, key=lambda item: first_touch[item]) for group in groups
-    ]
-    return Placement.from_groups(
-        {dbc: group for dbc, group in enumerate(naive_groups) if group},
-        problem.config,
-        anchor_offsets={
-            dbc: 0 for dbc, group in enumerate(naive_groups) if group
-        },
-    )
+    return order_groups(problem, problem.groupings.interference, first_touch_layout)
 
 
 def ordering_only_placement(problem: PlacementProblem) -> Placement:
     """Ablation: affinity-aware ordering, but naive (packed) grouping.
 
     Items fill DBCs in first-touch order blocks of ``L`` (as the declaration
-    baseline would), then each block is chain-ordered and port-anchored.
+    baseline would), then each block gets the paper layout.
     """
-    length = problem.config.words_per_dbc
-    items = list(problem.items)
-    groups = [items[start : start + length] for start in range(0, len(items), length)]
-    return order_groups(problem, groups)
+    return order_groups(problem, declaration_block_groups(problem))

@@ -4,17 +4,23 @@ Given the items that share a DBC, the group's true shift cost (single port,
 lazy policy) is the Minimum Linear Arrangement objective over the group's
 **restricted affinity graph** — adjacency counts taken on the trace
 *restricted to the group's items*, because only those accesses move this
-DBC's head.  The ordering phase therefore:
+DBC's head.  :func:`order_groups` therefore restricts the trace to each
+group, rebuilds its affinities and asks a *layout* for candidate offsets,
+keeping the cheapest on the restricted subsequence.  The paper's layout
+(:func:`paper_layout`):
 
-1. restricts the trace to the group and rebuilds affinities,
-2. grows a linear chain greedily (heaviest edge first, fragments merged at
+1. grows a linear chain greedily (heaviest edge first, fragments merged at
    endpoints — the classic greedy-matching construction for MinLA/TSP-path),
-3. anchors the chain so its access-weighted median sits on a port.
+2. anchors the chain so its access-weighted median sits on a port,
+
+and also offers the port-proximity star and the first-touch orders.  The
+cross-paper methods plug their own layouts into the same loop
+(``repro.core.shiftsreduce``, ``repro.core.generalized``).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.core.placement import Placement, Slot
 from repro.core.problem import PlacementProblem
@@ -191,47 +197,88 @@ def restricted_sequence_cost(
     return total
 
 
+#: A per-DBC layout strategy: ``layout(problem, group, restricted,
+#: affinity)`` returns candidate ``{item: offset}`` dicts for one group, given
+#: the trace restricted to the group and that trace's affinity graph.
+Layout = Callable[
+    [PlacementProblem, list[str], AccessTrace, dict[tuple[str, str], int]],
+    list[dict[str, int]],
+]
+
+
+def first_touch_layout(
+    problem: PlacementProblem,
+    group: list[str],
+    restricted: AccessTrace,
+    affinity: dict[tuple[str, str], int],
+) -> list[dict[str, int]]:
+    """Naive layout: first-touch order from offset 0 (no chain, no anchor)."""
+    return [{item: index for index, item in enumerate(restricted.items)}]
+
+
+def paper_layout(
+    problem: PlacementProblem,
+    group: list[str],
+    restricted: AccessTrace,
+    affinity: dict[tuple[str, str], int],
+) -> list[dict[str, int]]:
+    """The paper's ordering candidates for one group.
+
+    The greedy chain anchored on a port, the port-proximity star, the
+    anchored first-touch order and the naive first-touch order.
+    """
+    config, frequencies = problem.config, problem.frequencies
+    first_touch_order = list(restricted.items)
+    return [
+        anchored_offsets(greedy_chain_order(group, affinity), config, frequencies),
+        proximity_offsets(group, config, frequencies),
+        anchored_offsets(first_touch_order, config, frequencies),
+        {item: index for index, item in enumerate(first_touch_order)},
+    ]
+
+
 def order_groups(
     problem: PlacementProblem,
     groups: Sequence[Sequence[str]],
+    layout: Layout = paper_layout,
+    memo: dict | None = None,
 ) -> Placement:
-    """Run the ordering phase on every group and assemble a placement.
+    """Lay out every group with ``layout`` and assemble a placement.
 
-    For each group two candidate layouts are generated — the greedy chain
-    (anchored) and the port-proximity star — and the cheaper one is chosen
-    by exact evaluation of the group's restricted subsequence (the per-DBC
-    cost decomposition makes this selection globally exact).  Empty groups
-    are skipped; group ``g`` lands on DBC ``g``.
+    Of a group's candidate layouts the cheapest wins by exact evaluation of
+    the group's restricted subsequence (the per-DBC cost decomposition makes
+    this selection globally exact); the first candidate wins ties.  Empty
+    groups are skipped; group ``g`` lands on DBC ``g``.  ``memo`` maps
+    each item set to its restricted trace and affinity graph; callers that
+    lay out several groupings share one dict across calls, so each
+    distinct item set is restricted once.
     """
-    frequencies = dict(problem.trace.frequencies())
+    if memo is None:
+        memo = {}
+    config = problem.config
     mapping: dict[str, Slot] = {}
     for dbc, group in enumerate(groups):
         group = list(group)
         if not group:
             continue
-        if dbc >= problem.config.num_dbcs:
+        if dbc >= config.num_dbcs:
             raise OptimizationError(
-                f"group index {dbc} exceeds array DBC count "
-                f"{problem.config.num_dbcs}"
+                f"group index {dbc} exceeds array DBC count {config.num_dbcs}"
             )
-        restricted = problem.trace.restricted_to(group)
-        affinity = affinity_graph(restricted)
-        chain_order = greedy_chain_order(group, affinity)
-        first_touch_order = list(restricted.items)
-        candidates = [
-            anchored_offsets(chain_order, problem.config, frequencies),
-            proximity_offsets(group, problem.config, frequencies),
-            anchored_offsets(first_touch_order, problem.config, frequencies),
-            {item: index for index, item in enumerate(first_touch_order)},
-        ]
-        best_offsets = None
-        best_cost = None
-        for offsets in candidates:
-            cost = restricted_sequence_cost(restricted, offsets, problem.config)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_offsets = offsets
-        assert best_offsets is not None
+        key = frozenset(group)
+        if key not in memo:
+            sub_trace = problem.trace.restricted_to(group)
+            memo[key] = (sub_trace, affinity_graph(sub_trace))
+        sub_trace, affinity = memo[key]
+        candidates = layout(problem, group, sub_trace, affinity)
+        best_offsets = candidates[0]
+        if len(candidates) > 1:
+            best_offsets = min(
+                candidates,
+                key=lambda offsets: restricted_sequence_cost(
+                    sub_trace, offsets, config
+                ),
+            )
         for item, offset in best_offsets.items():
             mapping[item] = Slot(dbc, offset)
     return Placement(mapping)

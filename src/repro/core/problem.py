@@ -10,11 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from repro.dwm.config import DWMConfig
 from repro.errors import CapacityError, TraceError
 from repro.trace.model import AccessTrace
 from repro.trace.stats import AffinityMatrix, affinity_graph, hot_items
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (heuristic <- problem)
+    from repro.core.heuristic import Groupings
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,23 @@ class PlacementProblem:
     def affinity_matrix(self) -> AffinityMatrix:
         """Index-based affinity representation for numeric algorithms."""
         return AffinityMatrix.from_trace(self.trace)
+
+    @cached_property
+    def frequencies(self) -> dict[str, int]:
+        """Access count per item (shared; callers must not mutate it)."""
+        return dict(self.trace.frequencies())
+
+    @cached_property
+    def groupings(self) -> Groupings:
+        """The placement portfolio's four candidate groupings.
+
+        Computed once per problem and shared (callers must not mutate them)
+        by every method that lays them out
+        (:func:`repro.core.heuristic.portfolio_placement`).
+        """
+        from repro.core.heuristic import candidate_groupings
+
+        return candidate_groupings(self)
 
     @cached_property
     def hot_order(self) -> tuple[str, ...]:

@@ -11,35 +11,28 @@ greedy step: appending item ``x`` at the left end adds
 algorithm picks the cheaper end.
 
 Multi-DBC instances reuse the repo's grouping portfolio (the grouping and
-ordering phases decompose per DBC, see ``repro.core.heuristic``), with the
-bidirectional construction replacing the ordering phase.  Selection keeps
-the paper heuristic's placement in the candidate set, which makes
-``shiftsreduce ≤ heuristic`` a structural guarantee — the same idiom that
-makes ``heuristic ≤ declaration`` hold (its candidate set contains the
-declaration layout).  Every tie-break is total (weights, then heat, then
-first-touch rank), so the construction is byte-deterministic.
+ordering phases decompose per DBC, see ``repro.core.heuristic``):
+ShiftsReduce is the pipeline configured with the layouts
+``(bidirectional_layout, paper_layout)``.  Because the paper's layout is
+in the portfolio, ``shiftsreduce ≤ heuristic`` is a structural guarantee —
+the same argument that makes ``heuristic ≤ declaration`` hold (its
+candidate set contains the declaration layout).  Every tie-break is total
+(weights, then heat, then first-touch rank), so the construction is
+byte-deterministic.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.cost import evaluate_placement
-from repro.core.fast_eval import FAST_EVAL_MIN_ACCESSES, evaluate_placements_fast
-from repro.core.grouping import greedy_min_affinity_grouping, refine_grouping
-from repro.core.heuristic import (
-    chain_and_cut_groups,
-    declaration_block_groups,
-    heuristic_placement,
-    hot_spread_groups,
-)
-from repro.core.ordering import anchored_offsets, restricted_sequence_cost
-from repro.core.placement import Placement, Slot
+from repro.core.heuristic import portfolio_placement
+from repro.core.ordering import anchored_offsets, paper_layout
+from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.errors import OptimizationError
-from repro.trace.stats import affinity_graph
+from repro.trace.model import AccessTrace
 
-__all__ = ["bidirectional_order", "shiftsreduce_placement"]
+__all__ = ["bidirectional_layout", "bidirectional_order", "shiftsreduce_placement"]
 
 
 def bidirectional_order(
@@ -105,84 +98,27 @@ def bidirectional_order(
     return sorted(position, key=position.get)
 
 
-def _order_groups_bidirectional(
+def bidirectional_layout(
     problem: PlacementProblem,
-    groups: Sequence[Sequence[str]],
-) -> Placement:
-    """Assemble a placement with the bidirectional construction per group.
-
-    Mirrors :func:`repro.core.ordering.order_groups`: each group's chain
-    (and its reversal) is anchored so the weighted median sits on a port,
-    and the cheaper layout wins by exact evaluation of the group's
-    restricted subsequence.
-    """
-    frequencies = dict(problem.trace.frequencies())
-    mapping: dict[str, Slot] = {}
-    for dbc, group in enumerate(groups):
-        group = list(group)
-        if not group:
-            continue
-        if dbc >= problem.config.num_dbcs:
-            raise OptimizationError(
-                f"group index {dbc} exceeds array DBC count "
-                f"{problem.config.num_dbcs}"
-            )
-        restricted = problem.trace.restricted_to(group)
-        affinity = affinity_graph(restricted)
-        order = bidirectional_order(group, affinity, frequencies)
-        candidates = [
-            anchored_offsets(order, problem.config, frequencies),
-            anchored_offsets(list(reversed(order)), problem.config, frequencies),
-        ]
-        best_offsets = None
-        best_cost = None
-        for offsets in candidates:
-            cost = restricted_sequence_cost(restricted, offsets, problem.config)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_offsets = offsets
-        assert best_offsets is not None
-        for item, offset in best_offsets.items():
-            mapping[item] = Slot(dbc, offset)
-    return Placement(mapping)
+    group: list[str],
+    restricted: AccessTrace,
+    affinity: dict[tuple[str, str], int],
+) -> list[dict[str, int]]:
+    """The group's bidirectional chain and its reversal, each port-anchored."""
+    config, frequencies = problem.config, problem.frequencies
+    order = bidirectional_order(group, affinity, frequencies)
+    return [
+        anchored_offsets(order, config, frequencies),
+        anchored_offsets(order[::-1], config, frequencies),
+    ]
 
 
-def shiftsreduce_placement(
-    problem: PlacementProblem,
-    num_groups: int | None = None,
-) -> Placement:
+def shiftsreduce_placement(problem: PlacementProblem) -> Placement:
     """Full ShiftsReduce placement: grouping portfolio + bidirectional order.
 
-    The candidate set is every grouping of the repo portfolio laid out
-    bidirectionally, plus the paper heuristic's own placement as a guard
-    candidate, so ``shiftsreduce ≤ heuristic`` holds structurally on every
+    The pipeline lays every grouping out bidirectionally and with the paper
+    layout, so ``shiftsreduce ≤ heuristic`` holds structurally on every
     instance (E21's acceptance gate).  ShiftsReduce candidates are listed
     first, so they win cost ties.
     """
-    groupings: list[list[list[str]]] = [
-        refine_grouping(
-            greedy_min_affinity_grouping(problem, num_groups=num_groups), problem
-        ),
-        chain_and_cut_groups(problem, num_groups=num_groups),
-        declaration_block_groups(problem),
-        hot_spread_groups(problem, num_groups=num_groups),
-    ]
-    placements = [
-        _order_groups_bidirectional(problem, groups) for groups in groupings
-    ]
-    placements.append(heuristic_placement(problem))
-    if len(problem.trace) >= FAST_EVAL_MIN_ACCESSES:
-        costs = evaluate_placements_fast(problem, placements, validate=False)
-    else:
-        costs = [
-            evaluate_placement(problem, placement, validate=False)
-            for placement in placements
-        ]
-    best_placement: Placement | None = None
-    best_cost: int | None = None
-    for placement, cost in zip(placements, costs):
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_placement = placement
-    assert best_placement is not None
-    return best_placement
+    return portfolio_placement(problem, (bidirectional_layout, paper_layout))

@@ -79,7 +79,7 @@ def spectral_placement(problem: PlacementProblem) -> Placement:
     blocks of ``L`` doubles as a (weak) grouping; each block is port-anchored
     like the heuristic's chains.
     """
-    frequencies = dict(problem.trace.frequencies())
+    frequencies = problem.frequencies
     components = _connected_components(problem.items, problem.affinity)
     components.sort(
         key=lambda component: -sum(frequencies.get(item, 0) for item in component)

@@ -391,8 +391,9 @@ def check_method_quality(
 ) -> list[Violation]:
     """Guarded methods must never price worse than the paper heuristic.
 
-    ``shiftsreduce`` and ``generalized`` keep the heuristic's placement in
-    their candidate set, so any case where they return a more expensive
+    ``shiftsreduce`` and ``generalized`` lay every grouping out with the
+    paper layout too, so the heuristic's placement is in their candidate
+    set and any case where they return a more expensive
     placement is a real solver bug (broken candidate evaluation, lost
     candidate, nondeterministic selection) — the "solver returns
     worse-than-heuristic placement" violation class.
@@ -411,7 +412,7 @@ def check_method_quality(
                 kind="method_worse_than_heuristic",
                 detail=(
                     f"{case.method} cost {cost} > heuristic cost "
-                    f"{heuristic_cost} despite the heuristic guard candidate"
+                    f"{heuristic_cost} despite the paper layout in its portfolio"
                 ),
                 data={
                     "method": case.method,

@@ -135,10 +135,59 @@ class TestAblationVariants:
         assert combined <= ordering
 
 
-class TestHeuristicNumGroups:
-    def test_explicit_num_groups_respected(self):
-        trace = markov_trace(12, 200, seed=2)
-        config = DWMConfig(words_per_dbc=16, num_dbcs=4, port_offsets=(0,))
-        problem = PlacementProblem(trace=trace, config=config)
-        placement = heuristic_placement(problem, num_groups=2)
-        assert len(placement.dbcs_used()) <= 2
+class TestPipeline:
+    """One portfolio loop: groupings once, restricted traces once, no guard."""
+
+    def test_groupings_memoized_in_candidate_order(self, locality_problem):
+        groupings = locality_problem.groupings
+        assert locality_problem.groupings is groupings
+        assert groupings.declaration == declaration_block_groups(locality_problem)
+        assert groupings.chain_and_cut == chain_and_cut_groups(locality_problem)
+        assert groupings.hot_spread == hot_spread_groups(locality_problem)
+
+    def test_frequencies_match_trace(self, locality_problem):
+        assert locality_problem.frequencies == dict(
+            locality_problem.trace.frequencies()
+        )
+        assert locality_problem.frequencies is locality_problem.frequencies
+
+    def test_one_dbc_restricts_the_trace_once(self, monkeypatch):
+        from repro.core.shiftsreduce import shiftsreduce_placement
+
+        trace = markov_trace(10, 300, seed=4)
+        problem = PlacementProblem(
+            trace=trace, config=DWMConfig(words_per_dbc=16, num_dbcs=1)
+        )
+        calls = []
+        original = AccessTrace.restricted_to
+
+        def counting(self, items):
+            calls.append(frozenset(items))
+            return original(self, items)
+
+        monkeypatch.setattr(AccessTrace, "restricted_to", counting)
+        shiftsreduce_placement(problem)
+        # Four groupings × two layouts, all holding the same item set.
+        assert calls == [frozenset(problem.items)]
+
+    def test_newer_methods_do_not_rerun_the_heuristic(
+        self, locality_problem, monkeypatch
+    ):
+        import repro.core.generalized as generalized
+        import repro.core.heuristic as heuristic
+        import repro.core.shiftsreduce as shiftsreduce
+        from repro.core.generalized import generalized_placement
+        from repro.core.shiftsreduce import shiftsreduce_placement
+
+        def forbidden(problem):
+            raise AssertionError("heuristic_placement re-run as a guard")
+
+        for module in (heuristic, shiftsreduce, generalized):
+            monkeypatch.setattr(
+                module, "heuristic_placement", forbidden, raising=False
+            )
+        for method in (shiftsreduce_placement, generalized_placement):
+            placement = method(locality_problem)
+            assert cost_of(locality_problem, placement) <= cost_of(
+                locality_problem, heuristic_placement(locality_problem)
+            )
