@@ -469,6 +469,14 @@ def run_e9(sizes=(16, 32, 64, 128), methods=("frequency", "spectral", "heuristic
     # E9 measures optimizer runtime; a warm placement cache would turn it
     # into a disk-read benchmark, so caching is forced off here.
     with placement_cache_disabled():
+        # One untimed run per method on a throwaway trace first, so one-time
+        # costs (imports, kernel selection, solver set-up) do not land in
+        # the first timed cell.  A separate trace object keeps its cached
+        # resolution out of the timed runs.
+        warm = markov_trace(sizes[0], sizes[0] * 30, locality=0.8, seed=0)
+        warm_config = DWMConfig.for_items(sizes[0], words_per_dbc=32)
+        for method in methods:
+            optimize_placement(warm, warm_config, method=method)
         for size in sizes:
             trace = markov_trace(size, size * 30, locality=0.8, seed=size)
             config = DWMConfig.for_items(size, words_per_dbc=32)

@@ -37,7 +37,6 @@ from repro.core.exact_partition import (
     partition_minimum,
 )
 from repro.core.fast_eval import (
-    evaluate_placement_auto,
     evaluate_placement_fast,
     evaluate_placements_fast,
 )
@@ -123,7 +122,6 @@ __all__ = [
     "CostEvaluator",
     "declaration_order_placement",
     "evaluate_placement",
-    "evaluate_placement_auto",
     "evaluate_placement_fast",
     "evaluate_placements_fast",
     "shift_lower_bound",

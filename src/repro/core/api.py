@@ -51,7 +51,7 @@ from repro.core.exact import (
     exact_single_dbc_placement,
     exhaustive_placement,
 )
-from repro.core.fast_eval import evaluate_placement_auto
+from repro.core.fast_eval import evaluate_placement_fast
 from repro.core.generalized import generalized_placement
 from repro.core.heuristic import (
     grouping_only_placement,
@@ -245,8 +245,7 @@ def execute_plan(
     plan: PlacementPlan,
 ) -> PlacementResult:
     """Stage 3: validate the planned placement and evaluate it exactly."""
-    plan.placement.validate(problem.config, problem.items)
-    shifts = evaluate_placement_auto(problem, plan.placement, validate=False)
+    shifts = evaluate_placement_fast(problem, plan.placement)
     return PlacementResult(
         method=plan.method,
         placement=plan.placement,

@@ -1,144 +1,54 @@
-"""Vectorised shift-cost evaluation (numpy) for large traces.
+"""Exact shift-cost scoring of candidate placements (numpy).
 
 The pure-Python evaluator (:func:`repro.core.cost.evaluate_placement`) walks
-the trace access by access — exact but interpreter-bound.  Two geometries
-admit a vectorised form:
+the trace access by access — exact but interpreter-bound.  This module
+scores placements with the vectorized simulation engine's scan instead
+(:mod:`repro.memory.batch_sim`): the trace's canonical resolution
+(:func:`~repro.memory.batch_sim.resolve_trace`, built at most once per
+trace object and already paid for by :func:`repro.core.api.resolve_placement`)
+is shared by every placement, and each placement costs one gather plus one
+pass of the shared cost kernels per DBC — every port count and policy,
+multi-port lazy included.
 
-* **eager policy, any port count** — each access is an order-independent
-  round trip ``2·min_p|offset−p|``, so the total collapses to
-  ``Σ_items freq·2·dist(offset)`` — one gather over a precomputed
-  per-offset distance table;
-* **lazy policy, single port** — the per-DBC decomposition gives
-  ``Σ_DBC |first target| + Σ|diff(targets)|`` — a couple of numpy ops per
-  DBC over per-item access-position arrays.
+* :func:`evaluate_placements_fast` — many placements of one problem; used
+  by the placement portfolio's candidate selection, the online placer and
+  the access reorderer.
+* :func:`evaluate_placement_fast` — the one-placement case.
 
-Multi-port lazy geometries need the per-access argmin over ports, which
-depends on the running head, so they fall back to the scalar evaluator.
-All paths are differentially tested to agree exactly.
-
-Beyond the single-placement entry point this module provides:
-
-* :func:`evaluate_placements_fast` — **batch** evaluation of many placements
-  of the *same* problem, amortising trace resolution (per-item access
-  positions, frequencies, port-distance tables) across all of them; used by
-  the heuristic's candidate selection and by the sweep/DSE drivers, which
-  score many placements per problem.
-* :func:`evaluate_placement_auto` — picks scalar vs vectorised by trace
-  length (:data:`FAST_EVAL_MIN_ACCESSES`), since numpy setup overhead loses
-  on short traces.
-
-Measured speedup: ~2-3× on 10⁵-access single-port lazy traces and >10× for
-eager (growing with trace length).  For *move*-structured workloads (local
-search) use :class:`repro.core.incremental.CostEvaluator`, which scores
-deltas in O(touched accesses) instead of re-evaluating at all.
+Both agree exactly with the reference walk (``tests/test_fast_eval_ports.py``
+and the fuzzer's :func:`repro.verify.oracles.check_engine_agreement`).
+For *move*-structured workloads (local search) use
+:class:`repro.core.incremental.CostEvaluator`, which scores deltas in
+O(touched accesses) instead of re-evaluating at all.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.cost import evaluate_placement
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
-from repro.dwm.config import PortPolicy
-
-#: Below this many accesses the scalar walk beats the numpy setup cost.
-FAST_EVAL_MIN_ACCESSES = 4096
 
 
-class _TraceArrays:
-    """Trace-side arrays shared by every placement of one problem."""
-
-    def __init__(self, problem: PlacementProblem) -> None:
-        import numpy as np
-
-        self.np = np
-        config = problem.config
-        self.items = problem.items
-        n = len(self.items)
-        self.item_at = np.fromiter(
-            problem.index_sequence, np.int64, len(problem.trace)
-        )
-        order = np.argsort(self.item_at, kind="stable")
-        boundaries = np.searchsorted(self.item_at[order], np.arange(n + 1))
-        self.positions = [
-            order[boundaries[i] : boundaries[i + 1]] for i in range(n)
-        ]
-        self.freq = (boundaries[1:] - boundaries[:-1]).astype(np.int64)
-        #: 2 × distance to the nearest port, per offset.
-        self.eager_dist = np.asarray(
-            [
-                2 * min(abs(o - p) for p in config.port_offsets)
-                for o in range(config.words_per_dbc)
-            ],
-            dtype=np.int64,
-        )
-
-    def resolve(self, placement: Placement):
-        """(dbc, offset) dense arrays for one placement."""
-        np = self.np
-        n = len(self.items)
-        dbc_of = np.empty(n, dtype=np.int64)
-        offset_of = np.empty(n, dtype=np.int64)
-        for index, item in enumerate(self.items):
-            slot = placement[item]
-            dbc_of[index] = slot.dbc
-            offset_of[index] = slot.offset
-        return dbc_of, offset_of
-
-
-def _eager_total(arrays: _TraceArrays, offset_of) -> int:
-    return int((arrays.freq * arrays.eager_dist[offset_of]).sum())
-
-
-def _lazy_single_port_total(
-    arrays: _TraceArrays, dbc_of, offset_of, port: int
-) -> int:
-    np = arrays.np
-    total = 0
-    for dbc in np.unique(dbc_of):
-        members = np.flatnonzero(dbc_of == dbc)
-        member_positions = [arrays.positions[i] for i in members.tolist()]
-        if len(member_positions) == 1:
-            positions = member_positions[0]
-        else:
-            positions = np.concatenate(member_positions)
-            positions.sort()
-        if positions.size == 0:
-            continue
-        targets = offset_of[arrays.item_at[positions]] - port
-        total += abs(int(targets[0]))
-        if targets.size > 1:
-            total += int(np.abs(np.diff(targets)).sum())
-    return total
-
-
-def evaluate_placement_fast(
+def _scores(
     problem: PlacementProblem,
-    placement: Placement,
-    validate: bool = True,
-) -> int:
-    """Exact total shift count, vectorised where the geometry allows.
+    placements: Sequence[Placement],
+    validate: bool,
+) -> list[int]:
+    # Both entry points call this helper rather than each other, so a
+    # wrapper installed around either (a tracing span) sees one call per
+    # scoring request.
+    from repro.memory.batch_sim import _scan, _slot_arrays, resolve_trace
 
-    Semantically identical to :func:`repro.core.cost.evaluate_placement`;
-    falls back to it for multi-port lazy geometries (head-dependent port
-    choice is inherently sequential).
-    """
     config = problem.config
     if validate:
-        placement.validate(config, problem.items)
-    if (
-        config.port_policy is not PortPolicy.EAGER
-        and len(config.port_offsets) > 1
-    ):
-        return evaluate_placement(problem, placement, validate=False)
-    arrays = _TraceArrays(problem)
-    dbc_of, offset_of = arrays.resolve(placement)
-    if config.port_policy is PortPolicy.EAGER:
-        return _eager_total(arrays, offset_of)
-    return _lazy_single_port_total(
-        arrays, dbc_of, offset_of, config.port_offsets[0]
-    )
+        for placement in placements:
+            placement.validate(config, problem.items)
+    resolved = resolve_trace(problem.trace)
+    return [
+        _scan(resolved, config, *_slot_arrays(resolved.items, placement))[1]
+        for placement in placements
+    ]
 
 
 def evaluate_placements_fast(
@@ -146,50 +56,21 @@ def evaluate_placements_fast(
     placements: Sequence[Placement],
     validate: bool = True,
 ) -> list[int]:
-    """Exact shift counts of many placements of one problem (batch).
+    """Exact shift counts of many placements of one problem.
 
-    The trace is resolved once (access positions, frequencies, distance
-    tables) and shared by every placement — the dominant setup cost of
-    :func:`evaluate_placement_fast` amortises across the batch.  Multi-port
-    lazy geometries fall back to the scalar evaluator per placement.
+    Semantically identical to calling
+    :func:`repro.core.cost.evaluate_placement` on each placement.
+    Placements may hold extra items the trace never touches; they cost
+    nothing.
     """
-    config = problem.config
-    if validate:
-        for placement in placements:
-            placement.validate(config, problem.items)
-    if (
-        config.port_policy is not PortPolicy.EAGER
-        and len(config.port_offsets) > 1
-    ):
-        return [
-            evaluate_placement(problem, placement, validate=False)
-            for placement in placements
-        ]
-    arrays = _TraceArrays(problem)
-    totals: list[int] = []
-    eager = config.port_policy is PortPolicy.EAGER
-    port = config.port_offsets[0]
-    for placement in placements:
-        dbc_of, offset_of = arrays.resolve(placement)
-        if eager:
-            totals.append(_eager_total(arrays, offset_of))
-        else:
-            totals.append(
-                _lazy_single_port_total(arrays, dbc_of, offset_of, port)
-            )
-    return totals
+    return _scores(problem, placements, validate)
 
 
-def evaluate_placement_auto(
+def evaluate_placement_fast(
     problem: PlacementProblem,
     placement: Placement,
     validate: bool = True,
 ) -> int:
-    """Exact evaluation via whichever implementation is faster.
-
-    Scalar walk below :data:`FAST_EVAL_MIN_ACCESSES` accesses (numpy setup
-    overhead dominates there), vectorised above.
-    """
-    if len(problem.trace) < FAST_EVAL_MIN_ACCESSES:
-        return evaluate_placement(problem, placement, validate=validate)
-    return evaluate_placement_fast(problem, placement, validate=validate)
+    """Exact total shift count of one placement (see
+    :func:`evaluate_placements_fast`)."""
+    return _scores(problem, (placement,), validate)[0]

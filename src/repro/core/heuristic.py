@@ -25,8 +25,9 @@ Pipeline (see DESIGN.md §4):
    (:func:`repro.core.ordering.order_groups`).  The paper's layout is the
    MinLA-style chain anchored on a port (:func:`repro.core.ordering.paper_layout`);
    ShiftsReduce and generalized placement contribute their own layouts.
-4. **Selection** — every (layout, grouping) placement is scored with the
-   exact trace-cost evaluator and the first cheapest wins
+4. **Selection** — every (layout, grouping) placement is scored exactly
+   by the batch scorer (:func:`repro.core.fast_eval.evaluate_placements_fast`,
+   one shared trace resolution) and the first cheapest wins
    (:func:`portfolio_placement`; still linear time in the trace).
 5. Optional **local refinement** (:mod:`repro.core.local_search`).
 
@@ -42,8 +43,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from repro.core.cost import evaluate_placement
-from repro.core.fast_eval import FAST_EVAL_MIN_ACCESSES, evaluate_placements_fast
+from repro.core.fast_eval import evaluate_placements_fast
 from repro.core.grouping import greedy_min_affinity_grouping, refine_grouping
 from repro.core.ordering import (
     Layout,
@@ -127,14 +127,7 @@ def portfolio_placement(
         for layout in layouts
         for groups in problem.groupings
     ]
-    if len(problem.trace) >= FAST_EVAL_MIN_ACCESSES:
-        # Batch evaluation shares the trace resolution across candidates.
-        costs = evaluate_placements_fast(problem, placements, validate=False)
-    else:
-        costs = [
-            evaluate_placement(problem, placement, validate=False)
-            for placement in placements
-        ]
+    costs = evaluate_placements_fast(problem, placements, validate=False)
     return placements[costs.index(min(costs))]
 
 

@@ -4,7 +4,7 @@ The lazy shift-cost replay is a deterministic automaton: after any access
 the head sits at ``offset − p`` for the port ``p`` chosen greedily
 (ties break to the lowest port).  The numpy formulations in
 :mod:`repro.core.incremental` vectorise this walk (closed form for two
-ports, pointer-doubling for ``P ≥ 3``), but they still materialise O(k)
+ports, a Hillis–Steele scan for ``P ≥ 3``), but they still materialise O(k)
 intermediates and pay ~25 numpy dispatches per chain — the dominant cost
 of incremental delta evaluation (see docs/PERFORMANCE.md).
 
@@ -18,7 +18,7 @@ interchangeable backends, selected lazily on first use:
    (no new dependencies; the ``.so`` is cached under
    ``$REPRO_KERNEL_CACHE`` or ``~/.cache/repro-dwm/kernels``);
 3. **numpy** — no compiled backend: :func:`compiled` returns ``None`` and
-   callers keep their existing vectorised-numpy / scalar paths.
+   callers use the numpy forms in :mod:`repro.core.incremental`.
 
 All backends are **bit-identical** to the scalar reference
 (:func:`repro.dwm.dbc.port_access_cost` greedy walk): integer math only,
@@ -34,8 +34,9 @@ Environment knobs:
   ``numba``/``cc`` fall through to ``numpy`` when unavailable.
 * ``REPRO_KERNEL_CACHE`` — directory for compiled ``.so`` artifacts.
 
-Three entry points, shared by the incremental evaluator and the batch
-simulation engine:
+Three entry points, shared by the incremental evaluator and (through
+:func:`repro.core.incremental.lazy_access_costs`) the candidate scorer and
+the simulation engines:
 
 * ``lazy_costs(offsets, ports, out)`` — per-access costs of one replay;
 * ``lazy_chain_cost(positions, item_at, offset_of, ports)`` — total cost

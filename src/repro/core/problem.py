@@ -87,12 +87,6 @@ class PlacementProblem:
         """Item name → dense index (first-touch order)."""
         return {item: i for i, item in enumerate(self.items)}
 
-    @cached_property
-    def index_sequence(self) -> tuple[int, ...]:
-        """The trace as dense item indices (hot path for evaluators)."""
-        index = self.item_index
-        return tuple(index[access.item] for access in self.trace)
-
     @property
     def min_dbcs_needed(self) -> int:
         """Fewest DBCs that can hold all items."""

@@ -127,9 +127,9 @@ def reorder_accesses(
             issued_count_per_item.get(access.item, 0) + 1
         )
         scheduled.append(access)
-    from repro.core.fast_eval import evaluate_placement_auto
+    from repro.core.fast_eval import evaluate_placement_fast
 
-    original = evaluate_placement_auto(problem, placement, validate=False)
+    original = evaluate_placement_fast(problem, placement, validate=False)
     if total > original:
         # The greedy schedule is myopic and can lose; a compiler would keep
         # the original order in that case, and so do we (total <= original

@@ -13,16 +13,19 @@ down.  This module computes the identical result with numpy:
 2. **Scan per run**: for a given placement the per-access (dbc, offset)
    sequences are gathers; accesses are grouped by DBC with a stable argsort
    (DBCs are independent, so each group replays in isolation); and each
-   group's shift costs come from a closed-form scan — position diffs for
-   lazy single-port, a rest-distance table for eager, and the vectorised
-   port-state automaton from :mod:`repro.core.incremental`
-   (:func:`~repro.core.incremental.two_port_access_costs` /
-   :func:`~repro.core.incremental.multi_port_access_costs`) for lazy
-   multi-port.
+   group's shift costs come from the shared kernels of
+   :mod:`repro.core.incremental` — the rest-distance table
+   (:func:`~repro.core.incremental.eager_cost_table`) for eager, and the
+   one lazy dispatcher (:func:`~repro.core.incremental.lazy_access_costs`:
+   position diffs for a single port, the port-state automaton for more).
 
 Every path produces per-access integer cost vectors, so totals, per-DBC
 totals and ``max_access_shifts`` are all bit-identical to the scalar engine
 (differential-tested in ``tests/test_batch_sim.py``).
+
+The same scan prices placement candidates
+(:func:`repro.core.fast_eval.evaluate_placements_fast`), so the scorer
+and the simulator share one array cost path.
 
 Entry points: :func:`simulate_vectorized` for one run,
 :class:`BatchSimulator` / :func:`batch_simulate` to amortize trace
@@ -36,10 +39,7 @@ import threading
 import time
 from typing import Iterable, Sequence
 
-from repro.core.incremental import (
-    multi_port_access_costs,
-    two_port_access_costs,
-)
+from repro.core.incremental import eager_cost_table, lazy_access_costs
 from repro.core.placement import Placement
 from repro.dwm.config import DWMConfig, PortPolicy
 from repro.memory.result import SimulationResult
@@ -140,30 +140,44 @@ def resolve_trace(trace: AccessTrace) -> ResolvedTrace:
         return resolved
 
 
-def _slot_arrays(resolved: ResolvedTrace, placement: Placement):
-    """Per-item (dbc, offset) lookup arrays for one placement."""
+def _slot_arrays(items: Sequence[str], placement: Placement):
+    """Per-item (dbc, offset) lookup arrays for one placement.
+
+    Only ``items`` are looked up, so a placement may hold extra items the
+    trace never touches.
+    """
     import numpy as np
 
-    count = len(resolved.items)
-    dbc_of = np.empty(count, dtype=np.int64)
-    offset_of = np.empty(count, dtype=np.int64)
-    for position, item in enumerate(resolved.items):
+    dbc_of = np.empty(len(items), dtype=np.int64)
+    offset_of = np.empty(len(items), dtype=np.int64)
+    for position, item in enumerate(items):
         slot = placement[item]
         dbc_of[position] = slot.dbc
         offset_of[position] = slot.offset
     return dbc_of, offset_of
 
 
-def _single_port_costs(offsets, port: int):
-    """Per-access lazy costs for one DBC with a single port."""
+def _dbc_groups(dbc_seq, offset_seq):
+    """Yield ``(dbc, indices, offsets)`` for each DBC the stream touches.
+
+    DBCs come in ascending order; ``indices`` are the group's positions
+    in the stream and ``offsets`` its offsets in stream order (stable
+    sort), so each group replays its DBC's head walk in isolation.
+    """
     import numpy as np
 
-    targets = offsets if port == 0 else offsets - port
-    costs = np.empty(targets.size, dtype=np.int64)
-    costs[0] = abs(int(targets[0]))
-    if targets.size > 1:
-        np.abs(np.diff(targets), out=costs[1:])
-    return costs
+    if dbc_seq.size == 0:
+        return
+    top = int(dbc_seq.max())
+    # DBC indices are small, so a narrow key dtype lets numpy's stable sort
+    # run as a radix sort (several times faster than timsort on int64).
+    order = np.argsort(dbc_seq.astype(np.min_scalar_type(top)), kind="stable")
+    sorted_offsets = offset_seq[order]
+    bounds = np.searchsorted(dbc_seq[order], np.arange(top + 2)).tolist()
+    for dbc in range(len(bounds) - 1):
+        low, high = bounds[dbc], bounds[dbc + 1]
+        if low < high:
+            yield dbc, order[low:high], sorted_offsets[low:high]
 
 
 def _scan(
@@ -175,9 +189,7 @@ def _scan(
     """Compute (per_dbc_shifts, total_shifts, max_access_shifts)."""
     import numpy as np
 
-    ports = config.port_offsets
-    num_dbcs = config.num_dbcs
-    per_dbc = [0] * num_dbcs
+    per_dbc = [0] * config.num_dbcs
     max_access = 0
     if resolved.item_at.size == 0:
         return per_dbc, 0, 0
@@ -187,42 +199,16 @@ def _scan(
         # Stateless: every access costs twice its rest distance, so a table
         # gather gives per-access costs directly and per-DBC totals are an
         # integer scatter-add (exact, unlike float bincount weights).
-        rest = np.asarray(
-            [
-                2 * min(abs(offset - port) for port in ports)
-                for offset in range(config.words_per_dbc)
-            ],
-            dtype=np.int64,
-        )
-        costs = rest[offset_seq]
-        max_access = int(costs.max())
-        totals = np.zeros(num_dbcs, dtype=np.int64)
+        costs = eager_cost_table(config)[offset_seq]
+        totals = np.zeros(config.num_dbcs, dtype=np.int64)
         np.add.at(totals, dbc_seq, costs)
         per_dbc = [int(value) for value in totals]
-        return per_dbc, int(costs.sum()), max_access
-    # Lazy: head state persists per DBC, so group the access stream by DBC
-    # (stable sort preserves each DBC's internal order) and scan each group.
-    order = np.argsort(dbc_seq, kind="stable")
-    sorted_dbc = dbc_seq[order]
-    sorted_offsets = offset_seq[order]
-    boundaries = np.searchsorted(sorted_dbc, np.arange(num_dbcs + 1))
-    num_ports = len(ports)
-    for dbc in range(num_dbcs):
-        low = int(boundaries[dbc])
-        high = int(boundaries[dbc + 1])
-        if high == low:
-            continue
-        group = sorted_offsets[low:high]
-        if num_ports == 1:
-            costs = _single_port_costs(group, ports[0])
-        elif num_ports == 2:
-            costs = two_port_access_costs(group, ports)
-        else:
-            costs = multi_port_access_costs(group, ports)
+        return per_dbc, int(costs.sum()), int(costs.max())
+    # Lazy: head state persists per DBC, so each DBC's group replays alone.
+    for dbc, _indices, group in _dbc_groups(dbc_seq, offset_seq):
+        costs = lazy_access_costs(group, config.port_offsets)
         per_dbc[dbc] = int(costs.sum())
-        group_max = int(costs.max())
-        if group_max > max_access:
-            max_access = group_max
+        max_access = max(max_access, int(costs.max()))
     return per_dbc, sum(per_dbc), max_access
 
 
@@ -249,43 +235,15 @@ def per_access_costs(
         resolved = resolve_trace(trace)
     if validate:
         placement.validate(config, resolved.items)
-    dbc_of, offset_of = _slot_arrays(resolved, placement)
-    if resolved.item_at.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
+    dbc_of, offset_of = _slot_arrays(resolved.items, placement)
     dbc_seq = dbc_of[resolved.item_at]
     offset_seq = offset_of[resolved.item_at]
-    ports = config.port_offsets
-    costs = np.empty(dbc_seq.size, dtype=np.int64)
     if config.port_policy is PortPolicy.EAGER:
-        rest = np.asarray(
-            [
-                2 * min(abs(offset - port) for port in ports)
-                for offset in range(config.words_per_dbc)
-            ],
-            dtype=np.int64,
-        )
-        costs[:] = rest[offset_seq]
-        return dbc_seq, costs
-    order = np.argsort(dbc_seq, kind="stable")
-    sorted_dbc = dbc_seq[order]
-    sorted_offsets = offset_seq[order]
-    boundaries = np.searchsorted(sorted_dbc, np.arange(config.num_dbcs + 1))
-    num_ports = len(ports)
-    for dbc in range(config.num_dbcs):
-        low = int(boundaries[dbc])
-        high = int(boundaries[dbc + 1])
-        if high == low:
-            continue
-        group = sorted_offsets[low:high]
-        if num_ports == 1:
-            group_costs = _single_port_costs(group, ports[0])
-        elif num_ports == 2:
-            group_costs = two_port_access_costs(group, ports)
-        else:
-            group_costs = multi_port_access_costs(group, ports)
+        return dbc_seq, eager_cost_table(config)[offset_seq]
+    costs = np.empty(dbc_seq.size, dtype=np.int64)
+    for _dbc, indices, group in _dbc_groups(dbc_seq, offset_seq):
         # Scatter the group's costs back to trace order.
-        costs[order[low:high]] = group_costs
+        costs[indices] = lazy_access_costs(group, config.port_offsets)
     return dbc_seq, costs
 
 
@@ -316,7 +274,7 @@ def simulate_vectorized(
     if validate:
         placement.validate(config, resolved.items)
     start = time.perf_counter()
-    dbc_of, offset_of = _slot_arrays(resolved, placement)
+    dbc_of, offset_of = _slot_arrays(resolved.items, placement)
     per_dbc, total, max_access = _scan(resolved, config, dbc_of, offset_of)
     scan_seconds = time.perf_counter() - start
     get_registry().observe("sim.scan.seconds", scan_seconds, engine="vectorized")

@@ -10,7 +10,8 @@ The per-DBC cost scan is a deterministic port automaton, so everything a
 chunk needs from its past is one integer per DBC: the head position.
 Three scan modes share the same per-chunk kernels
 (:func:`~repro.core.incremental.lazy_costs_from_state`, and the rest-
-distance table for eager policies):
+distance table :func:`~repro.core.incremental.eager_cost_table` for eager
+policies) and the in-memory engine's per-DBC grouping:
 
 * **sequential** (default) — chunks scanned in order, carrying the exact
   per-DBC head between chunks; one kernel call per chunk-DBC group.
@@ -36,10 +37,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.core.incremental import lazy_costs_from_state
+from repro.core.incremental import eager_cost_table, lazy_costs_from_state
 from repro.core.placement import Placement
 from repro.dwm.config import DWMConfig, PortPolicy
 from repro.errors import SimulationError
+from repro.memory.batch_sim import _dbc_groups, _slot_arrays, resolve_trace
 from repro.memory.result import SimulationResult
 from repro.obs import get_registry
 from repro.trace.binio import StreamingTrace, open_binary
@@ -91,34 +93,6 @@ class ChunkState:
     dbcs: dict
 
 
-def _rest_table(config: DWMConfig):
-    """Eager per-offset cost table: twice the nearest-port distance."""
-    import numpy as np
-
-    ports = config.port_offsets
-    return np.asarray(
-        [
-            2 * min(abs(offset - port) for port in ports)
-            for offset in range(config.words_per_dbc)
-        ],
-        dtype=np.int64,
-    )
-
-
-def _dbc_groups(dbc_seq, offset_seq):
-    """Yield ``(dbc, offsets)`` for each DBC present, in ascending DBC
-    order, each group's offsets in stream order (stable sort)."""
-    import numpy as np
-
-    order = np.argsort(dbc_seq, kind="stable")
-    sorted_dbc = dbc_seq[order]
-    sorted_offsets = offset_seq[order]
-    uniq, starts = np.unique(sorted_dbc, return_index=True)
-    bounds = np.append(starts, sorted_dbc.size)
-    for position, dbc in enumerate(uniq.tolist()):
-        yield int(dbc), sorted_offsets[starts[position] : bounds[position + 1]]
-
-
 def scan_chunk(item_at, is_write, config: DWMConfig, dbc_of, offset_of) -> ChunkState:
     """Summarise one window into a mergeable :class:`ChunkState`.
 
@@ -144,7 +118,7 @@ def scan_chunk(item_at, is_write, config: DWMConfig, dbc_of, offset_of) -> Chunk
     dbc_seq = dbc_of[item_at]
     offset_seq = offset_of[item_at]
     if config.port_policy is PortPolicy.EAGER:
-        costs = _rest_table(config)[offset_seq]
+        costs = eager_cost_table(config)[offset_seq]
         totals = np.zeros(config.num_dbcs, dtype=np.int64)
         maxes = np.zeros(config.num_dbcs, dtype=np.int64)
         counts = np.zeros(config.num_dbcs, dtype=np.int64)
@@ -158,7 +132,7 @@ def scan_chunk(item_at, is_write, config: DWMConfig, dbc_of, offset_of) -> Chunk
                 max_cost=int(maxes[dbc]),
             )
         return state
-    for dbc, group in _dbc_groups(dbc_seq, offset_seq):
+    for dbc, _indices, group in _dbc_groups(dbc_seq, offset_seq):
         first = int(group[0])
         rest = group[1:]
         totals, maxes, heads = [], [], []
@@ -293,24 +267,8 @@ def _chunk_arrays(trace, start: int, stop: int):
     """Dense (item_at, is_write) for one window of either trace kind."""
     if isinstance(trace, StreamingTrace):
         return trace.chunk_arrays(start, stop)
-    from repro.memory.batch_sim import resolve_trace
-
     resolved = resolve_trace(trace)
     return resolved.item_at[start:stop], resolved.is_write[start:stop]
-
-
-def _slot_arrays_for(items, placement: Placement):
-    """Per-item (dbc, offset) lookup arrays (streaming-trace variant of
-    :func:`repro.memory.batch_sim._slot_arrays`)."""
-    import numpy as np
-
-    dbc_of = np.empty(len(items), dtype=np.int64)
-    offset_of = np.empty(len(items), dtype=np.int64)
-    for position, item in enumerate(items):
-        slot = placement[item]
-        dbc_of[position] = slot.dbc
-        offset_of[position] = slot.offset
-    return dbc_of, offset_of
 
 
 #: Worker-process cache of opened binary traces, keyed by path; workers
@@ -363,7 +321,7 @@ def simulate_streaming(
     items = tuple(trace.items)
     if validate:
         placement.validate(config, items)
-    dbc_of, offset_of = _slot_arrays_for(items, placement)
+    dbc_of, offset_of = _slot_arrays(items, placement)
     total_accesses = len(trace)
     chunks = _chunk_bounds(total_accesses, chunk_size)
     parallel = bool(jobs and jobs > 1 and len(chunks) > 1)
@@ -376,7 +334,7 @@ def simulate_streaming(
         max_access = 0
         heads: dict[int, int] = {}
         rest = (
-            _rest_table(config)
+            eager_cost_table(config)
             if config.port_policy is PortPolicy.EAGER
             else None
         )
@@ -400,7 +358,7 @@ def simulate_streaming(
                 if costs.size:
                     max_access = max(max_access, int(costs.max()))
                 continue
-            for dbc, group in _dbc_groups(dbc_seq, offset_seq):
+            for dbc, _indices, group in _dbc_groups(dbc_seq, offset_seq):
                 costs, head_out = lazy_costs_from_state(
                     group, config.port_offsets, heads.get(dbc, 0)
                 )

@@ -180,8 +180,8 @@ def _random_trace(rng: random.Random, big: bool) -> AccessTrace:
 
 def generate_case(rng: random.Random, index: int = 0) -> FuzzCase:
     """Sample one conformance case from the supported geometry space."""
-    # ~6% of cases are long multi-port traces that push the incremental
-    # engine past MULTI_PORT_VECTOR_MIN and the automaton kernels.
+    # ~6% of cases are long multi-port traces whose per-DBC subsequences
+    # run hundreds of accesses through the port-automaton kernels.
     big = rng.random() < 0.06
     trace = _random_trace(rng, big)
     realized = trace.num_items

@@ -5,7 +5,7 @@ import pytest
 from repro.core.api import build_problem, optimize_placement
 from repro.core.baselines import declaration_order_placement, random_placement
 from repro.core.cost import evaluate_placement
-from repro.core.fast_eval import evaluate_placement_fast
+from repro.core.fast_eval import evaluate_placement_fast, evaluate_placements_fast
 from repro.dwm.config import DWMConfig, PortPolicy
 from repro.dwm.ports import (
     access_histogram,
@@ -21,7 +21,9 @@ class TestFastEvaluator:
     @pytest.mark.parametrize("words,ports,policy", [
         (8, 1, PortPolicy.LAZY),
         (32, 1, PortPolicy.LAZY),
-        (16, 2, PortPolicy.LAZY),       # falls back to the scalar path
+        (16, 2, PortPolicy.LAZY),
+        (16, 3, PortPolicy.LAZY),
+        (16, 4, PortPolicy.LAZY),
         (16, 1, PortPolicy.EAGER),
         (16, 2, PortPolicy.EAGER),
     ])
@@ -39,6 +41,37 @@ class TestFastEvaluator:
             assert evaluate_placement_fast(problem, placement) == (
                 evaluate_placement(problem, placement)
             )
+
+    @pytest.mark.parametrize("ports,policy", [
+        (1, PortPolicy.LAZY),
+        (2, PortPolicy.LAZY),
+        (3, PortPolicy.LAZY),
+        (2, PortPolicy.EAGER),
+    ])
+    def test_extra_untraced_items_cost_nothing(self, ports, policy):
+        # The online placer extends a window's placement with items the
+        # window never touches; the scorer must price them at zero.
+        from repro.core.online import _extend_placement
+
+        from repro.trace.model import AccessTrace
+
+        window = markov_trace(12, 600, locality=0.7, seed=83, write_fraction=0.2)
+        full = AccessTrace(
+            [access.item for access in window] + [f"late{i}" for i in range(8)]
+        )
+        config = DWMConfig.with_uniform_ports(
+            words_per_dbc=8, num_dbcs=4, num_ports=ports, port_policy=policy
+        )
+        problem = build_problem(window, config)
+        placements = [
+            _extend_placement(random_placement(problem, seed), full, config)
+            for seed in range(3)
+        ]
+        expected = [evaluate_placement(problem, p) for p in placements]
+        assert evaluate_placements_fast(problem, placements) == expected
+        assert [evaluate_placement_fast(problem, p) for p in placements] == (
+            expected
+        )
 
     def test_agrees_on_kernel_traces(self):
         trace = fir_trace()

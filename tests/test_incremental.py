@@ -15,11 +15,7 @@ from repro.core.api import build_problem
 from repro.core.baselines import random_placement
 from repro.core.cost import evaluate_placement, shift_lower_bound
 from repro.core.exact import exhaustive_placement
-from repro.core.fast_eval import (
-    evaluate_placement_auto,
-    evaluate_placement_fast,
-    evaluate_placements_fast,
-)
+from repro.core.fast_eval import evaluate_placement_fast, evaluate_placements_fast
 from repro.core.incremental import CostEvaluator
 from repro.core.local_search import (
     simulated_annealing,
@@ -145,9 +141,10 @@ class TestCostEvaluatorDeltas:
 
     @pytest.mark.parametrize("ports", [2, 4])
     def test_long_multi_port_subsequences_use_vector_path(self, ports):
-        # Subsequences above MULTI_PORT_VECTOR_MIN replay through the
-        # vectorised port-state path (two-port closed form / P-state fold);
-        # totals and deltas must still match the scalar reference exactly.
+        # Subsequences hundreds of accesses long replay through the
+        # port-automaton kernels (compiled walk, or the two-port closed
+        # form / Hillis–Steele scan without a backend); totals and deltas
+        # must still match the scalar reference exactly.
         trace = markov_trace(24, 6000, locality=0.8, seed=41, write_fraction=0.2)
         config = DWMConfig.for_items(
             24, words_per_dbc=8, num_ports=ports, port_policy="lazy"
@@ -217,13 +214,12 @@ class TestBatchFastEval:
         for placement, cost in zip(placements, batch):
             assert cost == evaluate_placement(problem, placement)
             assert cost == evaluate_placement_fast(problem, placement)
-            assert cost == evaluate_placement_auto(problem, placement)
 
     def test_auto_on_long_trace(self):
         trace = zipf_trace(32, 6000, alpha=1.2, seed=4)
         problem = build_problem(trace, words_per_dbc=16)
         placement = random_placement(problem, 0)
-        assert evaluate_placement_auto(problem, placement) == (
+        assert evaluate_placement_fast(problem, placement) == (
             evaluate_placement(problem, placement)
         )
 

@@ -15,9 +15,8 @@ import pytest
 
 from repro.core import kernels
 from repro.core.incremental import (
-    multi_port_access_costs,
+    lazy_access_costs,
     multi_port_access_costs_numpy,
-    two_port_access_costs,
     two_port_access_costs_numpy,
 )
 
@@ -151,7 +150,7 @@ class TestDispatchers:
         offsets = rng.integers(0, 64, size=500, dtype=np.int64)
         ports = np.array([0, 63], dtype=np.int64)
         np.testing.assert_array_equal(
-            two_port_access_costs(offsets, ports),
+            lazy_access_costs(offsets, ports),
             two_port_access_costs_numpy(offsets, ports),
         )
 
@@ -160,6 +159,6 @@ class TestDispatchers:
         offsets = rng.integers(0, 48, size=500, dtype=np.int64)
         ports = np.array([3, 17, 40], dtype=np.int64)
         np.testing.assert_array_equal(
-            multi_port_access_costs(offsets, ports),
+            lazy_access_costs(offsets, ports),
             multi_port_access_costs_numpy(offsets, ports),
         )

@@ -16,7 +16,6 @@ import multiprocessing
 import pytest
 
 from repro.core.api import build_problem, plan_placement
-from repro.core.fast_eval import FAST_EVAL_MIN_ACCESSES
 from repro.dwm.config import DWMConfig
 from repro.trace.model import AccessTrace
 from repro.trace.synthetic import markov_trace, zipf_trace
@@ -104,9 +103,11 @@ def test_eager_policy_is_deterministic_too(method):
 # ``generalized`` each with its own grouping/ordering loop, the two newer
 # methods re-running ``heuristic_placement`` as a guard candidate) before
 # they were folded into one pipeline: the pipeline must reproduce those
-# placements byte for byte.  The ``large`` traces sit above
-# ``FAST_EVAL_MIN_ACCESSES`` (batch scoring), ``small`` below it (exact
-# scoring); every geometry has four DBCs so the grouping step matters.
+# placements byte for byte.  Those loops scored candidates with the
+# scalar walk below 4096 accesses (``small``) and with the batch scorer
+# above (``large``, ``large_zipf``); one scorer now prices all three
+# traces and must pick the same placements.  Every geometry has four DBCs
+# so the grouping step matters.
 
 GOLDEN_METHODS = (
     "heuristic",
@@ -171,13 +172,6 @@ def _golden_digest(trace, method: str) -> str:
         placement = plan_placement(problem, method=method).placement
         digest.update(_canonical_placement(placement).encode())
     return digest.hexdigest()
-
-
-def test_golden_traces_straddle_the_batch_scoring_threshold():
-    traces = _golden_traces()
-    assert len(traces["small"]) < FAST_EVAL_MIN_ACCESSES
-    assert len(traces["large"]) >= FAST_EVAL_MIN_ACCESSES
-    assert len(traces["large_zipf"]) >= FAST_EVAL_MIN_ACCESSES
 
 
 @pytest.mark.parametrize("method", GOLDEN_METHODS)
